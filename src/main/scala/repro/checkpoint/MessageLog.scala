@@ -16,10 +16,26 @@ final class MessageLog {
   private val byChannel = mutable.Map.empty[ChannelId, mutable.ArrayBuffer[Msg]]
   private var bytes0: Long = 0L
 
+  /** Append the next message of its channel; its seq must be the log's
+    * length + 1, which keeps [[range]] positional.
+    */
   def append(m: Msg): Unit = {
-    byChannel.getOrElseUpdate(m.channel, mutable.ArrayBuffer.empty) += m
+    val buf = byChannel.getOrElseUpdate(m.channel, mutable.ArrayBuffer.empty)
+    require(m.seq == buf.length + 1L,
+      s"message log of ${m.channel}: appended seq ${m.seq}, expected ${buf.length + 1L}")
+    buf += m
     bytes0 += m.wireBytes
   }
+
+  /** Drop the messages of `ch` with seq > `lastSent`: after a rollback the
+    * sender re-sends them under the same seqs.
+    */
+  def truncate(ch: ChannelId, lastSent: Long): Unit =
+    byChannel.get(ch).foreach { buf =>
+      val keep = math.min(buf.length.toLong, math.max(0L, lastSent)).toInt
+      bytes0 -= buf.view.drop(keep).map(_.wireBytes.toLong).sum
+      buf.dropRightInPlace(buf.length - keep)
+    }
 
   /** Messages with loExcl < seq <= hiIncl, in seq order. */
   def range(ch: ChannelId, loExcl: Long, hiIncl: Long): IndexedSeq[Msg] =

@@ -39,7 +39,9 @@ trait OperatorLogic {
     * the upstream logical operator ("" for source input).
     */
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit
-  /** Deep snapshot of operator state (must not alias mutable internals). */
+  /** Snapshot of operator state. It must not alias mutable internals;
+    * immutable structure may be shared with the live state.
+    */
   def snapshot(): Any
   /** Restore from a snapshot produced by [[snapshot]]. */
   def restore(s: Any): Unit

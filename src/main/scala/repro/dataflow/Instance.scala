@@ -3,16 +3,6 @@ package repro.dataflow
 import repro.checkpoint.CkptKind
 import scala.collection.mutable
 
-/** The portable part of an instance's runtime state — what a checkpoint
-  * snapshot bundles besides the operator-logic state.
-  */
-final case class InstanceSnapshot(
-    logicState: Any,
-    lastSent: Map[ChannelId, Long],
-    lastReceived: Map[ChannelId, Long],
-    srcOffset: Long,
-)
-
 /** Mutable runtime state of one operator instance.
   *
   * Holds per-channel FIFO inboxes, channel blocking flags (COOR alignment),
@@ -73,16 +63,6 @@ final class Instance(
       }
     }
     best
-  }
-
-  def snapshotBundle(): InstanceSnapshot =
-    InstanceSnapshot(logic.snapshot(), lastSent.toMap, lastReceived.toMap, srcOffset)
-
-  def restoreBundle(s: InstanceSnapshot): Unit = {
-    logic.restore(s.logicState)
-    lastSent.clear();     lastSent ++= s.lastSent
-    lastReceived.clear(); lastReceived ++= s.lastReceived
-    srcOffset = s.srcOffset
   }
 
   /** Reset all volatile runtime structures (on failure). */

@@ -298,7 +298,10 @@ final class Runtime(
       inst.lastSent.clear();     inst.lastSent ++= meta.lastSent
       // Channels absent from an old checkpoint default to seq 0.
       inst.inCh.foreach(c => inst.lastReceived(c) = meta.lastReceived.getOrElse(c, 0L))
-      inst.outCh.foreach(c => if (!inst.lastSent.contains(c)) inst.lastSent(c) = 0L)
+      inst.outCh.foreach { c =>
+        if (!inst.lastSent.contains(c)) inst.lastSent(c) = 0L
+        log.truncate(c, inst.lastSent(c))
+      }
       inst.srcOffset = meta.srcOffset
       inst.busyUntil = clock
     }

@@ -1,7 +1,6 @@
 package repro.queries
 
 import repro.dataflow.OperatorLogic
-import scala.collection.mutable
 
 /** Sink digest used for correctness verification.
   *
@@ -18,28 +17,30 @@ import scala.collection.mutable
   * surviving lineage).
   */
 final class MultisetSink extends OperatorLogic {
-  val counts = mutable.Map.empty[Any, Long]
+  // Immutable (CHAMP) map: a snapshot is the current value, and stored
+  // checkpoints share structure with the live digest instead of copying it.
+  private var digest = Map.empty[Any, Long]
+  def counts: Map[Any, Long] = digest
   def onRecord(value: Any, fromOp: String, emit: Any => Unit): Unit =
-    counts.updateWith(value) { c => Some(c.getOrElse(0L) + 1L) }
-  def snapshot(): Any = counts.toMap
-  def restore(s: Any): Unit = {
-    counts.clear(); counts ++= s.asInstanceOf[Map[Any, Long]]
-  }
-  def stateBytes: Long = counts.size.toLong * 48L
+    digest = digest.updated(value, digest.getOrElse(value, 0L) + 1L)
+  def snapshot(): Any = digest
+  def restore(s: Any): Unit = digest = s.asInstanceOf[Map[Any, Long]]
+  def stateBytes: Long = digest.size.toLong * 48L
 }
 
-/** Upsert-max sink: `key`/`value` project a group and a monotone measure. */
+/** Upsert-max sink: `key`/`value` project a group and a monotone measure.
+  * Like [[MultisetSink]], it keeps its digest in an immutable map.
+  */
 final class UpsertMaxSink(key: Any => Any, value: Any => Long) extends OperatorLogic {
-  val latest = mutable.Map.empty[Any, Long]
+  private var digest = Map.empty[Any, Long]
+  def latest: Map[Any, Long] = digest
   def onRecord(v: Any, fromOp: String, emit: Any => Unit): Unit = {
     val k = key(v); val x = value(v)
-    if (latest.getOrElse(k, Long.MinValue) < x) latest(k) = x
+    if (digest.getOrElse(k, Long.MinValue) < x) digest = digest.updated(k, x)
   }
-  def snapshot(): Any = latest.toMap
-  def restore(s: Any): Unit = {
-    latest.clear(); latest ++= s.asInstanceOf[Map[Any, Long]]
-  }
-  def stateBytes: Long = latest.size.toLong * 48L
+  def snapshot(): Any = digest
+  def restore(s: Any): Unit = digest = s.asInstanceOf[Map[Any, Long]]
+  def stateBytes: Long = digest.size.toLong * 48L
 }
 
 /** Stateless pass-through (sources and simple stages). */

@@ -59,4 +59,22 @@ class RecoverySpec extends AnyFunSuite {
     val post = rt.store.allMetas.count(m => m.takenAt > failAt && m.kind == LocalCkpt)
     assert(post > 0, "UNC timers must re-arm after recovery")
   }
+
+  test("after a recovered run each channel's log holds exactly seqs 1..sender.lastSent") {
+    for ((q, proto) <- Seq(Q1 -> "UNC", Q3 -> "UNC", Q3 -> "CIC")) {
+      val (rt, res) = SimTestKit.run(q, proto, 3, rate = 150.0,
+        horizonMicros = 12_000_000L, failAt = Some(8_000_000L))
+      assert(rt.metrics.failureAt.nonEmpty && res.eoViolations == 0)
+      var logged, bytes = 0L
+      rt.allInstances.foreach { inst =>
+        inst.outCh.foreach { ch =>
+          val msgs = rt.log.range(ch, 0L, Long.MaxValue)
+          assert(msgs.map(_.seq) == (1L to inst.lastSent(ch)), s"${q.name}/$proto log of $ch")
+          logged += msgs.size
+          bytes += msgs.map(_.wireBytes.toLong).sum
+        }
+      }
+      assert(rt.log.totalMessages == logged && rt.log.totalBytes == bytes)
+    }
+  }
 }

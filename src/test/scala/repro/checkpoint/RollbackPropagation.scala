@@ -2,7 +2,8 @@ package repro.checkpoint
 
 import repro.dataflow.InstanceId
 
-/** Algorithm 1 of the paper (Wang et al.'s rollback propagation):
+/** Algorithm 1 of the paper (Wang et al.'s rollback propagation), kept in
+  * test scope as the oracle of `Recovery.maxConsistentLine`:
   * starting from the latest checkpoint of every instance (the root set),
   * repeatedly replace any root-set checkpoint that is strictly reachable
   * from another root-set checkpoint by the next-older checkpoint of the
@@ -37,7 +38,19 @@ object RollbackPropagation {
 
     val line = pos.map { case (id, p) => id -> g.ckpts(id)(p) }.toMap
     val rolledPast = pos.map { case (id, p) => id -> (g.ckpts(id).length - 1 - p) }.toMap
-    assert(g.isConsistent(line), "rollback propagation returned an inconsistent line")
+    require(g.isConsistent(line), "rollback propagation returned an inconsistent line")
     (line, rolledPast)
+  }
+
+  /** The main-path line, after checking that it equals Algorithm 1's. */
+  def checkedFixpoint(ckpts: Map[InstanceId, IndexedSeq[CkptMeta]])
+      : (Map[InstanceId, CkptMeta], Map[InstanceId, Int]) = {
+    val fix = Recovery.maxConsistentLine(ckpts)
+    val oracle = recoveryLine(new CheckpointGraph(ckpts))
+    if (fix != oracle) {
+      def idx(r: (Map[InstanceId, CkptMeta], Map[InstanceId, Int])) = r._1.view.mapValues(_.idx).toMap
+      sys.error(s"orphan fixpoint ${idx(fix)} differs from Algorithm 1 ${idx(oracle)}")
+    }
+    fix
   }
 }

@@ -3,8 +3,9 @@ package repro.checkpoint
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dataflow.{ChannelId, InstanceId}
 
-/** Unit tests of the checkpoint graph + rollback propagation, including
-  * the paper's Fig. 4 example and the Fig. 5 domino-effect scenario.
+/** Unit tests of the recovery line, including the paper's Fig. 4 example
+  * and the Fig. 5 domino-effect scenario. Every case computes the line with
+  * the main-path orphan fixpoint and checks it against Algorithm 1.
   */
 class RollbackPropagationSpec extends AnyFunSuite {
 
@@ -27,7 +28,7 @@ class RollbackPropagationSpec extends AnyFunSuite {
       inst(2) -> IndexedSeq(meta(2, 0, Map.empty, Map(ch(1, 2) -> 0L)),
         meta(2, 1, Map.empty, Map(ch(1, 2) -> 10L))),
     )
-    val (line, rolled) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+    val (line, rolled) = RollbackPropagation.checkedFixpoint(ckpts)
     assert(line(inst(1)).idx == 1 && line(inst(2)).idx == 1)
     assert(rolled.values.forall(_ == 0))
   }
@@ -41,7 +42,7 @@ class RollbackPropagationSpec extends AnyFunSuite {
         meta(2, 1, Map.empty, Map(ch(1, 2) -> 4L)),
         meta(2, 2, Map.empty, Map(ch(1, 2) -> 8L))),
     )
-    val (line, _) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+    val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
     assert(line(inst(1)).idx == 1)
     assert(line(inst(2)).idx == 1, "o2 must fall back to the ckpt with recv<=5")
   }
@@ -55,7 +56,7 @@ class RollbackPropagationSpec extends AnyFunSuite {
         meta(2, 1, Map.empty, Map(ch(1, 2) -> 6L))),
     )
     val g = new CheckpointGraph(ckpts)
-    val (line, _) = RollbackPropagation.recoveryLine(g)
+    val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
     assert(line(inst(1)).idx == 1 && line(inst(2)).idx == 1)
     assert(g.isConsistent(line))
   }
@@ -74,7 +75,7 @@ class RollbackPropagationSpec extends AnyFunSuite {
         meta(3, 0, Map.empty, Map(ch(2, 3) -> 0L)),
         meta(3, 1, Map.empty, Map(ch(2, 3) -> 7L))), // depends on o2's rolled-back sends
     )
-    val (line, _) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+    val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
     assert(line(inst(1)).idx == 1)
     assert(line(inst(2)).idx == 1)
     assert(line(inst(3)).idx == 0, "o3 received 7 > o2@1.sent=3 => rolls to initial")
@@ -93,7 +94,7 @@ class RollbackPropagationSpec extends AnyFunSuite {
         meta(2, 1, Map(ch(2, 1) -> 2L), Map(ch(1, 2) -> 3L)),
         meta(2, 2, Map(ch(2, 1) -> 4L), Map(ch(1, 2) -> 5L))),
     )
-    val (line, rolled) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+    val (line, rolled) = RollbackPropagation.checkedFixpoint(ckpts)
     assert(line(inst(1)).idx == 0 && line(inst(2)).idx == 0,
       s"domino should unwind to scratch, got ${line.view.mapValues(_.idx).toMap}")
     assert(rolled.values.sum == 4)
@@ -117,10 +118,21 @@ class RollbackPropagationSpec extends AnyFunSuite {
           }.toIndexedSeq),
       )
       val g = new CheckpointGraph(ckpts)
-      val (line, _) = RollbackPropagation.recoveryLine(g)
+      val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
       assert(g.isConsistent(line))
       assert(line(inst(2)).lastReceived.getOrElse(ch(1, 2), 0L) <=
         line(inst(1)).lastSent.getOrElse(ch(1, 2), 0L))
     }
+  }
+
+  test("stepping past an initial checkpoint fails with the channel and both seqs") {
+    // o2's initial checkpoint claims 3 messages o1's initial never sent.
+    val ckpts = Map(
+      inst(1) -> IndexedSeq(meta(1, 0, Map(ch(1, 2) -> 0L), Map.empty)),
+      inst(2) -> IndexedSeq(meta(2, 0, Map.empty, Map(ch(1, 2) -> 3L))),
+    )
+    val err = intercept[IllegalArgumentException](Recovery.maxConsistentLine(ckpts))
+    assert(err.getMessage.contains(ch(1, 2).toString))
+    assert(err.getMessage.contains("lastSent 0") && err.getMessage.contains("lastReceived 3"))
   }
 }

@@ -25,6 +25,24 @@ class ComponentsSpec extends AnyFunSuite {
     assert(log.range(ChannelId(b, a), 0, 5).isEmpty)
   }
 
+  test("message log rejects a gap or a duplicate seq, naming the channel") {
+    val log = new MessageLog
+    (1L to 3L).foreach(s => log.append(msg(s)))
+    val dup = intercept[IllegalArgumentException](log.append(msg(3)))
+    assert(dup.getMessage.contains(ab.toString) && dup.getMessage.contains("seq 3, expected 4"))
+    intercept[IllegalArgumentException](log.append(msg(5)))
+  }
+
+  test("message log truncation drops the tail and its bytes") {
+    val log = new MessageLog
+    (1L to 6L).foreach(s => log.append(msg(s, 100)))
+    log.truncate(ab, 4)
+    assert(log.range(ab, 0, 10).map(_.seq) == (1L to 4L))
+    assert(log.totalBytes == 4L * (Msg.FrameBytes + 100))
+    log.append(msg(5))
+    assert(log.totalMessages == 5)
+  }
+
   test("message log byte and message totals") {
     val log = new MessageLog
     (1L to 5L).foreach(s => log.append(msg(s, 100)))

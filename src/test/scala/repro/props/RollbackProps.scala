@@ -5,7 +5,9 @@ import repro.checkpoint._
 import repro.dataflow.{ChannelId, InstanceId}
 
 /** ScalaCheck properties of the recovery-line machinery over randomized
-  * monotone checkpoint histories on a 3-operator chain a -> b -> c.
+  * monotone checkpoint histories on a 3-operator chain a -> b -> c. Each
+  * line comes from the main-path orphan fixpoint, checked against
+  * Algorithm 1.
   */
 object RollbackProps extends Properties("RollbackPropagation") {
 
@@ -39,7 +41,7 @@ object RollbackProps extends Properties("RollbackPropagation") {
         }.toIndexedSeq),
       )
       val g = new CheckpointGraph(ckpts)
-      val (line, rolled) = RollbackPropagation.recoveryLine(g)
+      val (line, rolled) = RollbackPropagation.checkedFixpoint(ckpts)
       val consistent = g.isConsistent(line)
       val bounds = rolled.forall { case (id, n) => n >= 0 && n < ckpts(id).length }
       consistent && bounds
@@ -54,7 +56,7 @@ object RollbackProps extends Properties("RollbackPropagation") {
         b -> IndexedSeq(meta(b, 0, Map.empty, Map(ab -> 0L)),
           meta(b, 1, Map.empty, Map(ab -> x))),
       )
-      val (line, _) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+      val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
       line(a).idx == 1 && line(b).idx == 1
     }
 
@@ -68,7 +70,7 @@ object RollbackProps extends Properties("RollbackPropagation") {
           case (r, i) => meta(b, i + 1, Map.empty, Map(ab -> r))
         }.toIndexedSeq),
       )
-      val (line, _) = RollbackPropagation.recoveryLine(new CheckpointGraph(ckpts))
+      val (line, _) = RollbackPropagation.checkedFixpoint(ckpts)
       line(b).lastReceived.getOrElse(ab, 0L) <= line(a).lastSent.getOrElse(ab, 0L)
     }
 }

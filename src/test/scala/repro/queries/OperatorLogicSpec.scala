@@ -1,6 +1,8 @@
 package repro.queries
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.dataflow.{InstanceId, OperatorLogic, SourceEvent}
 import repro.nexmark._
 import scala.collection.mutable
 
@@ -136,5 +138,61 @@ class OperatorLogicSpec extends AnyFunSuite {
     val (o2, e2) = collect()
     p.onRecord("z", "", e2)
     assert(o2.toSeq == Seq("z"))
+  }
+
+  /** One logic object per operator of `q` at parallelism 1; `feed` pushes
+    * source events through them breadth first along the query's edges.
+    */
+  private final class MiniPipeline(q: QueryDef, cfg: NexmarkConfig) {
+    private val g = q.graph(1)
+    val logics: Map[String, OperatorLogic] = g.ops.map(o => o.name -> o.logic()).toMap
+    val events: IndexedSeq[SourceEvent] = q.input(1, cfg).events(InstanceId("src", 0))
+    def feed(evs: Seq[SourceEvent]): Unit = {
+      val work = mutable.Queue.empty[(String, Any, String)]
+      evs.foreach { ev =>
+        work.enqueue(("src", ev.value, ""))
+        while (work.nonEmpty) {
+          val (op, v, from) = work.dequeue()
+          logics(op).onRecord(v, from,
+            out => g.outEdges(op).filter(_.select(out)).foreach(e => work.enqueue((e.to, out, op))))
+        }
+      }
+    }
+  }
+
+  /** Deep copy through Java serialization: shares nothing with `x`. */
+  private def deepCopy(x: Any): Any = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(x); out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject()
+  }
+
+  test("snapshots of every query's operators, sinks included, stay isolated") {
+    val queries = Seq(
+      Q1 -> NexmarkConfig(400.0, 4_000_000L),
+      Q3 -> NexmarkConfig(400.0, 4_000_000L),
+      Q8() -> NexmarkConfig(400.0, 4_000_000L),
+      Q12() -> NexmarkConfig(400.0, 4_000_000L),
+      Reachability(ReachConfig(200, 0.0, 0L, maxPathLen = 4)) -> NexmarkConfig(100.0, 3_000_000L),
+    )
+    for ((q, cfg) <- queries) {
+      val p = new MiniPipeline(q, cfg)
+      val third = p.events.size / 3
+      p.feed(p.events.take(third))
+      val snaps = p.logics.map { case (op, l) => op -> l.snapshot() }
+      val copies = snaps.map { case (op, s) => op -> deepCopy(s) }
+      def unchanged(when: String): Unit = snaps.foreach { case (op, s) =>
+        assert(s == copies(op), s"${q.name}.$op snapshot changed $when")
+      }
+
+      p.feed(p.events.slice(third, 2 * third))
+      assert(p.logics("sink").snapshot() != snaps("sink"), s"${q.name}: the sink saw no records")
+      unchanged("after more records")
+
+      p.logics.foreach { case (op, l) => l.restore(snaps(op)) }
+      p.feed(p.events.drop(2 * third))
+      unchanged("after restore and more records")
+    }
   }
 }
